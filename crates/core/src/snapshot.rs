@@ -41,7 +41,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 
 /// Current snapshot format version. Bumped on any layout change; other
 /// versions are rejected, never reinterpreted.
-pub const SNAP_FORMAT_VERSION: u32 = 1;
+pub const SNAP_FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -184,6 +184,16 @@ impl SnapWriter {
         self.u64(len as u64);
     }
 
+    /// Writes a length-prefixed block of `u16`s: one reservation and a
+    /// tight copy loop instead of a call per word.
+    pub fn u16_block(&mut self, words: &[u16]) {
+        self.len_prefix(words.len());
+        self.buf.reserve(2 * words.len());
+        for &v in words {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.len_prefix(s.len());
@@ -291,6 +301,23 @@ impl<'a> SnapReader<'a> {
             )));
         }
         Ok(len as usize)
+    }
+
+    /// Reads a block written by [`SnapWriter::u16_block`], bounded by
+    /// the bytes left like [`len_prefix`](Self::len_prefix).
+    pub fn u16_block(&mut self) -> Result<Vec<u16>, SnapError> {
+        let len = self.u64()?;
+        if len > (self.remaining() / 2) as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "u16 block length {len} exceeds {} remaining bytes",
+                self.remaining()
+            )));
+        }
+        let bytes = self.take(2 * len as usize)?;
+        Ok(bytes
+            .chunks_exact(2)
+            .map(|b| u16::from_le_bytes([b[0], b[1]]))
+            .collect())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -555,6 +582,27 @@ mod tests {
             unseal(&bad),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_containers_are_rejected() {
+        let mut sealed = seal(vec![7u8; 16]);
+        sealed[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(unseal(&sealed), Err(SnapError::UnsupportedVersion(1)));
+    }
+
+    #[test]
+    fn u16_block_round_trips_and_bounds_its_length() {
+        let mut w = SnapWriter::new();
+        w.u16_block(&[1, 0xFFFF, 0x1234]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 6);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.u16_block().unwrap(), vec![1, 0xFFFF, 0x1234]);
+        r.finish().unwrap();
+        // A length the remaining bytes cannot back is corrupt, not a panic.
+        let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
+        assert!(matches!(r.u16_block(), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -11,8 +11,16 @@
 //! normalized (cpu, mem) capacity square plus an expiry queue: check-ins are
 //! O(1), spec-rate queries are O(grid), and region queries are
 //! O(grid × groups).
-
-use std::collections::VecDeque;
+//!
+//! The expiry queue is lossless but delta-coded: every in-window check-in
+//! is its grid cell plus the gap in ms since the previous check-in, packed
+//! into one `u16` word while the gap stays below 15 ms (at fleet scale
+//! check-ins arrive every few ms, so ~2 bytes per check-in instead of the
+//! 8 a `time << 16 | cell` word would take). Larger gaps escape into
+//! 15-bit continuation words; at the paper's 5k-device scale most gaps
+//! do, so a check-in there takes two words — still half the packed size.
+//! Check-in times must arrive non-decreasing — the simulator feeds them
+//! in `(time, seq)` order.
 
 use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::{Capacity, ResourceSpec, SimTime, DAY_MS};
@@ -79,11 +87,33 @@ pub struct SupplyEstimator {
     counts: Vec<u32>,
     /// Whether `counts` reflects the current queue contents.
     counts_fresh: bool,
-    /// In-window check-ins as packed `(time << CELL_BITS) | cell` words —
-    /// half the footprint of a `(u64, u16)` pair, which matters: at
-    /// 24-hour windows this ring holds millions of entries and `record`
-    /// runs once per device check-in.
-    queue: VecDeque<u64>,
+    /// In-window check-ins, oldest first, delta-coded: each entry is a
+    /// head word `gap << CELL_BITS | cell` whose 4-bit gap (0–14 ms since
+    /// the previous entry) covers almost every check-in at fleet scale, so
+    /// an entry is ~2 bytes — a quarter of a packed `time << 16 | cell`
+    /// `u64`. A gap of 15 ms or more sets the gap field to [`ESCAPE`] and
+    /// follows the head with the gap in little-endian 15-bit continuation
+    /// words (top bit: another word follows). At 24-hour windows this ring
+    /// holds millions of entries and `record` runs once per check-in.
+    ///
+    /// The live words are `words[first..]`: expiry only advances `first`,
+    /// and the dead prefix is dropped in one move once it reaches a
+    /// quarter of the buffer. A flat `Vec` rather than a `VecDeque` lets
+    /// [`record`](Self::record) append a fixed pair of words and cut back
+    /// to the one or two that count, so the choice costs no branch —
+    /// which matters at paper scale, where gaps straddle the escape
+    /// unpredictably.
+    words: Vec<u16>,
+    /// Index of the oldest live word in `words`.
+    first: usize,
+    /// Number of live entries (not words).
+    len: usize,
+    /// Time of the last entry popped off the front — the base the front
+    /// entry's gap is decoded against (0 before the first pop).
+    front_time: SimTime,
+    /// Time of the last entry pushed (equal to `front_time` while the
+    /// ring is empty) — the base the next pushed gap is measured from.
+    back_time: SimTime,
     /// Specs registered for the incremental mask index; bit `j` of every
     /// mask refers to `specs[j]`.
     specs: Vec<ResourceSpec>,
@@ -96,19 +126,83 @@ pub struct SupplyEstimator {
     slot_counts: Vec<u64>,
 }
 
-/// Bits of a packed queue word holding the grid cell.
-const CELL_BITS: u32 = 16;
+/// Bits of a ring head word holding the grid cell.
+const CELL_BITS: u32 = 12;
+const _: () = assert!(
+    GRID * GRID == 1 << CELL_BITS,
+    "grid cells must fill CELL_BITS"
+);
+/// Cell field of a head word.
+const CELL_MASK: u16 = (1 << CELL_BITS) - 1;
+/// Gap field value of a head word whose gap follows in continuation words.
+const ESCAPE: u16 = 15;
+/// Payload bits per continuation word.
+const CONT_BITS: u32 = 15;
+/// Continuation-word flag: another continuation word follows.
+const CONT_MORE: u16 = 1 << CONT_BITS;
+/// Payload field of a continuation word.
+const CONT_PAYLOAD: u16 = CONT_MORE - 1;
+/// Longest continuation: five 15-bit groups cover a 64-bit gap.
+const MAX_CONT_WORDS: u32 = 5;
 
-/// Packs a check-in into one queue word. Times are bounded to 48 bits
-/// (about 8,900 simulated years) by the packing.
-fn pack(now: SimTime, cell: u16) -> u64 {
-    debug_assert!(now < 1 << (64 - CELL_BITS), "sim time exceeds 48 bits");
-    (now << CELL_BITS) | cell as u64
+/// One ring entry as decoded by [`decode_entry`].
+struct Entry {
+    gap: SimTime,
+    cell: u16,
+    /// Words the entry occupies (head plus continuation).
+    words: usize,
 }
 
-/// Unpacks a queue word into `(time, cell)`.
-fn unpack(word: u64) -> (SimTime, u16) {
-    (word >> CELL_BITS, word as u16)
+/// Decodes the entry at the front of `words`, or `None` if it is empty.
+///
+/// Validates the escape encoding as it goes — a truncated escape, more
+/// continuation words than a 64-bit gap needs, and a non-minimal
+/// encoding are all errors — so the snapshot decoder can run untrusted
+/// bytes through the same code the estimator prunes with.
+fn decode_entry(mut words: impl Iterator<Item = u16>) -> Option<Result<Entry, &'static str>> {
+    let head = words.next()?;
+    let cell = head & CELL_MASK;
+    if head >> CELL_BITS != ESCAPE {
+        let gap = (head >> CELL_BITS) as SimTime;
+        return Some(Ok(Entry {
+            gap,
+            cell,
+            words: 1,
+        }));
+    }
+    let Some(word) = words.next() else {
+        return Some(Err("truncated gap escape"));
+    };
+    let mut gap = (word & CONT_PAYLOAD) as SimTime;
+    if word & CONT_MORE == 0 {
+        // The common escape: one continuation word, a gap below 2^15 ms.
+        if gap < ESCAPE as SimTime {
+            return Some(Err("non-minimal gap escape"));
+        }
+        return Some(Ok(Entry {
+            gap,
+            cell,
+            words: 2,
+        }));
+    }
+    for k in 1..MAX_CONT_WORDS {
+        let Some(word) = words.next() else {
+            return Some(Err("truncated gap escape"));
+        };
+        let payload = (word & CONT_PAYLOAD) as SimTime;
+        if k == MAX_CONT_WORDS - 1 && payload >> (64 - CONT_BITS * k) != 0 {
+            return Some(Err("gap escape overflows 64 bits"));
+        }
+        gap |= payload << (CONT_BITS * k);
+        if word & CONT_MORE == 0 {
+            if payload == 0 {
+                return Some(Err("non-minimal gap escape"));
+            }
+            let words = 2 + k as usize;
+            return Some(Ok(Entry { gap, cell, words }));
+        }
+    }
+    Some(Err("over-long gap escape"))
 }
 
 impl SupplyEstimator {
@@ -123,7 +217,11 @@ impl SupplyEstimator {
             window_ms,
             counts: vec![0; GRID * GRID],
             counts_fresh: true,
-            queue: VecDeque::new(),
+            words: Vec::new(),
+            first: 0,
+            len: 0,
+            front_time: 0,
+            back_time: 0,
             specs: Vec::new(),
             cell_slot: vec![0; GRID * GRID],
             slot_masks: vec![0],
@@ -151,22 +249,45 @@ impl SupplyEstimator {
         if cutoff == 0 {
             return;
         }
-        let cutoff_word = cutoff << CELL_BITS;
-        while let Some(&word) = self.queue.front() {
-            // Packed words order by time first, so one integer compare
-            // replaces the unpack (the cell bits only break exact ties,
-            // and any word below `cutoff << CELL_BITS` has time < cutoff).
-            if word >= cutoff_word {
+        // Decode expired entries off the front; their words are dropped
+        // by advancing `first`. The loop works on locals rather than
+        // `self` fields so the slot-count stores cannot force reloads of
+        // them (measured: about half the per-entry cost).
+        let mut live = self.words[self.first..].iter().copied();
+        let slot_counts = &mut self.slot_counts;
+        let cell_slot = &self.cell_slot;
+        let mut front_time = self.front_time;
+        let (mut expired, mut at) = (0, 0);
+        while let Some(entry) = decode_entry(&mut live) {
+            let Entry { gap, cell, words } =
+                entry.expect("ring holds only validated encoder output");
+            let time = front_time + gap;
+            if time >= cutoff {
                 break;
             }
-            self.queue.pop_front();
-            let cell = unpack(word).1 as usize;
-            self.slot_counts[self.cell_slot[cell] as usize] -= 1;
+            front_time = time;
+            slot_counts[cell_slot[cell as usize] as usize] -= 1;
+            expired += 1;
+            at += words;
+        }
+        self.front_time = front_time;
+        if expired > 0 {
+            self.first += at;
+            self.len -= expired;
             self.counts_fresh = false;
+            if self.first >= self.words.len() / 4 {
+                self.words.drain(..self.first);
+                self.first = 0;
+            }
         }
     }
 
     /// Records one device check-in.
+    ///
+    /// Times must be non-decreasing across calls: the ring stores each
+    /// check-in as the gap since the previous one (debug builds assert
+    /// this; release builds file an out-of-order check-in at the latest
+    /// recorded time instead of underflowing).
     ///
     /// The hot path does no expiry: pushes keep the queue time-ordered
     /// regardless, the slot counts are only *read* through the query
@@ -174,9 +295,36 @@ impl SupplyEstimator {
     /// (same total work, amortized off the per-check-in path) and a
     /// record is three array touches plus a ring push.
     pub fn record(&mut self, now: SimTime, capacity: &Capacity) {
+        debug_assert!(
+            now >= self.back_time,
+            "check-in at {now} ms after one at {} ms: times must be non-decreasing",
+            self.back_time
+        );
         let cell = Self::cell_of(capacity);
         self.slot_counts[self.cell_slot[cell as usize] as usize] += 1;
-        self.queue.push_back(pack(now, cell));
+        let gap = now.saturating_sub(self.back_time);
+        if gap <= CONT_PAYLOAD as SimTime {
+            // A head word, plus the gap as one continuation word when it
+            // escapes: both are written and the buffer is cut back to the
+            // words that count (`truncate` never grows, so it does not
+            // branch on `escaped`).
+            let escaped = gap >= ESCAPE as SimTime;
+            let field = if escaped { ESCAPE } else { gap as u16 };
+            let end = self.words.len() + 1 + escaped as usize;
+            self.words
+                .extend_from_slice(&[field << CELL_BITS | cell, gap as u16]);
+            self.words.truncate(end);
+        } else {
+            self.words.push(ESCAPE << CELL_BITS | cell);
+            let mut rest = gap;
+            while rest > CONT_PAYLOAD as SimTime {
+                self.words.push(rest as u16 & CONT_PAYLOAD | CONT_MORE);
+                rest >>= CONT_BITS;
+            }
+            self.words.push(rest as u16);
+        }
+        self.back_time += gap;
+        self.len += 1;
         self.counts_fresh = false;
     }
 
@@ -187,8 +335,12 @@ impl SupplyEstimator {
             return;
         }
         self.counts.iter_mut().for_each(|c| *c = 0);
-        for &word in &self.queue {
-            self.counts[unpack(word).1 as usize] += 1;
+        let mut words = self.words[self.first..].iter().copied();
+        while let Some(entry) = decode_entry(&mut words) {
+            let cell = entry
+                .expect("ring holds only validated encoder output")
+                .cell;
+            self.counts[cell as usize] += 1;
         }
         self.counts_fresh = true;
     }
@@ -353,7 +505,7 @@ impl SupplyEstimator {
     /// Number of check-ins currently inside the window.
     pub fn window_count(&mut self, now: SimTime) -> usize {
         self.prune(now);
-        self.queue.len()
+        self.len
     }
 
     /// Effective averaging span: the full window once enough history has
@@ -454,16 +606,17 @@ impl SupplyEstimator {
 /// The snapshot dumps every field verbatim — including the lazily
 /// maintained count table and its freshness flag — so a restored
 /// estimator continues pruning, refreshing, and splitting regions on
-/// exactly the schedule the snapshotted one would have.
+/// exactly the schedule the snapshotted one would have. The ring goes
+/// out as its entry count, decode bases, and one bulk block of words.
 impl Snapshot for SupplyEstimator {
     fn encode(&self, w: &mut SnapWriter) {
         w.u64(self.window_ms);
         w.seq(&self.counts, |w, &c| w.u32(c));
         w.bool(self.counts_fresh);
-        w.len_prefix(self.queue.len());
-        for &word in &self.queue {
-            w.u64(word);
-        }
+        w.usize(self.len);
+        w.u64(self.front_time);
+        w.u64(self.back_time);
+        w.u16_block(&self.words[self.first..]);
         w.seq(&self.specs, |w, s| s.encode(w));
         w.seq(&self.cell_slot, |w, &s| w.u32(s));
         w.seq(&self.slot_masks, |w, &m| w.u128(m));
@@ -477,7 +630,12 @@ impl Snapshot for SupplyEstimator {
         }
         let counts = r.seq(|r| r.u32())?;
         let counts_fresh = r.bool()?;
-        let queue: VecDeque<u64> = r.seq(|r| r.u64())?.into();
+        let len = r.usize()?;
+        let front_time = r.u64()?;
+        let back_time = r.u64()?;
+        let words = r.u16_block()?;
+        validate_ring(&words, len, front_time, back_time)
+            .map_err(|what| SnapError::Corrupt(format!("supply ring: {what}")))?;
         let specs = r.seq(ResourceSpec::decode)?;
         let cell_slot = r.seq(|r| r.u32())?;
         let slot_masks = r.seq(|r| r.u128())?;
@@ -491,17 +649,56 @@ impl Snapshot for SupplyEstimator {
         if cell_slot.iter().any(|&s| s as usize >= slot_masks.len()) {
             return Err(SnapError::Corrupt("supply cell slot out of range".into()));
         }
+        let slot_total = slot_counts.iter().try_fold(0u64, |a, &c| a.checked_add(c));
+        if slot_total != Some(len as u64) {
+            return Err(SnapError::Corrupt(
+                "supply slot counts disagree with the ring".into(),
+            ));
+        }
         Ok(SupplyEstimator {
             window_ms,
             counts,
             counts_fresh,
-            queue,
+            words,
+            first: 0,
+            len,
+            front_time,
+            back_time,
             specs,
             cell_slot,
             slot_masks,
             slot_counts,
         })
     }
+}
+
+/// Checks, in one pass, that `words` is a well-formed ring of exactly
+/// `len` entries whose gaps lead from `front_time` to `back_time` without
+/// overflowing — everything [`SupplyEstimator::prune`] relies on.
+fn validate_ring(
+    words: &[u16],
+    len: usize,
+    front_time: SimTime,
+    back_time: SimTime,
+) -> Result<(), &'static str> {
+    let mut rest = words;
+    let mut entries = 0usize;
+    let mut time = front_time;
+    while let Some(entry) = decode_entry(rest.iter().copied()) {
+        let entry = entry?;
+        rest = &rest[entry.words..];
+        entries += 1;
+        time = time
+            .checked_add(entry.gap)
+            .ok_or("check-in time overflows")?;
+    }
+    if entries != len {
+        return Err("entry count disagrees with the words");
+    }
+    if time != back_time {
+        return Err("last check-in time disagrees with the gaps");
+    }
+    Ok(())
 }
 
 /// Low edge of grid cell `i` — the value devices in the cell are *at least*.
@@ -692,5 +889,101 @@ mod tests {
     fn unregistered_rate_panics() {
         let mut s = SupplyEstimator::new(1_000);
         s.registered_rate(0, 0);
+    }
+
+    // --- delta-coded ring snapshots ---------------------------------------
+
+    /// An estimator encoding that is well formed apart from the ring
+    /// fields given (no specs, one slot holding all `len` entries).
+    fn encoding(len: usize, front_time: SimTime, back_time: SimTime, words: &[u16]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(1_000);
+        w.seq(&[0u32; GRID * GRID], |w, &c| w.u32(c));
+        w.bool(false);
+        w.usize(len);
+        w.u64(front_time);
+        w.u64(back_time);
+        w.u16_block(words);
+        w.len_prefix(0);
+        w.seq(&[0u32; GRID * GRID], |w, &s| w.u32(s));
+        w.seq(&[0u128], |w, &m| w.u128(m));
+        w.seq(&[len as u64], |w, &c| w.u64(c));
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<SupplyEstimator, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let s = SupplyEstimator::decode(&mut r)?;
+        r.finish()?;
+        Ok(s)
+    }
+
+    const E: u16 = ESCAPE << CELL_BITS;
+
+    #[test]
+    fn record_writes_one_word_below_the_escape() {
+        let mut s = SupplyEstimator::new(DAY_MS);
+        for (t, words) in [(0, 1), (14, 2), (29, 4), (29 + (1 << 15), 7)] {
+            s.record(t, &Capacity::new(0.0, 0.0));
+            assert_eq!(s.words.len(), words, "after a check-in at {t}");
+        }
+        assert_eq!(s.words, [0, 14 << CELL_BITS, E, 15, E, CONT_MORE, 1]);
+    }
+
+    #[test]
+    fn hand_built_ring_decodes() {
+        // Cell 5 at 10 + 2^15, then cell 7 three ms later.
+        let words = [E | 5, CONT_MORE, 1, 3 << CELL_BITS | 7];
+        let back = 10 + (1 << 15) + 3;
+        let mut s = decode(&encoding(2, 10, back, &words)).unwrap();
+        assert_eq!(s.window_count(back), 2);
+        assert_eq!(s.window_count(back + 998), 1);
+    }
+
+    #[test]
+    fn malformed_rings_decode_to_corrupt() {
+        let cases: [(&str, usize, SimTime, SimTime, &[u16]); 10] = [
+            ("escape without continuation", 1, 0, 0, &[E]),
+            (
+                "escape cut mid-continuation",
+                1,
+                0,
+                1 << 15,
+                &[E, CONT_MORE],
+            ),
+            (
+                "six continuation words",
+                1,
+                0,
+                1,
+                &[E, 0x8001, 0x8000, 0x8000, 0x8000, 0x8000, 0],
+            ),
+            ("trailing zero group", 1, 0, 16, &[E, CONT_MORE | 16, 0]),
+            ("escaped gap below 15", 1, 0, 3, &[E, 3]),
+            ("entry count too high", 2, 0, 1, &[1 << CELL_BITS]),
+            ("entry count too low", 0, 0, 1, &[1 << CELL_BITS]),
+            ("last time past the gaps", 1, 0, 2, &[1 << CELL_BITS]),
+            ("time overflows", 1, u64::MAX - 5, 4, &[10 << CELL_BITS]),
+            (
+                "gap past 64 bits",
+                1,
+                0,
+                0,
+                &[E, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0x0010],
+            ),
+        ];
+        for (what, len, front, back, words) in cases {
+            let got = decode(&encoding(len, front, back, words));
+            assert!(matches!(got, Err(SnapError::Corrupt(_))), "{what}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn slot_counts_must_match_the_ring() {
+        let mut bytes = encoding(1, 0, 1, &[1 << CELL_BITS]);
+        // The last u64 is the only slot count.
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&2u64.to_le_bytes());
+        assert!(matches!(decode(&bytes), Err(SnapError::Corrupt(_))));
     }
 }
